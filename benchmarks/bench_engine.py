@@ -40,8 +40,9 @@ from repro.workloads import make_instance
 
 
 def _seed_lp(instance):
-    """Phase 1 exactly as the seed ran it: modeling layer + per-constraint
-    conversion in the scipy backend (or the dense simplex without scipy)."""
+    """Phase 1 along the seed's code path: modeling layer + per-constraint
+    conversion in the scipy backend (or the dense simplex without scipy).
+    The model holds today's slim LP (9) rows, as every path does."""
     built = build_allotment_lp(instance)
     sol = built.lp.solve(backend="auto")
     return _result_from_values(

@@ -159,7 +159,7 @@ from .schedule import (
     validate_schedule,
 )
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "AssumptionError",

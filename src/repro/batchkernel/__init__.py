@@ -9,8 +9,9 @@ block-diagonal problem and runs every stage across all blocks at once:
   (:class:`BatchedCsr`), stacked profile arrays
   (:class:`StackedProfiles`) and batched level / bottom-level /
   lower-bound kernels;
-* :mod:`~repro.batchkernel.lp` — block-diagonal allotment-LP assembly
-  and vectorized critical-point rounding;
+* :mod:`~repro.batchkernel.lp` — per-block allotment-LP assembly
+  through the shared LP (9) row generator, and vectorized
+  critical-point rounding;
 * :mod:`~repro.batchkernel.scheduler` — the lockstep phase-2 LIST
   scheduler (:func:`batched_list_schedule`) advancing B frontiers and
   B timelines per step;

@@ -4,8 +4,8 @@
 :class:`repro.pipeline.SchedulingPipeline` — allotment stage, then the
 earliest-start LIST rule — but over *all* instances at once: profiles
 stacked into one :class:`~repro.batchkernel.packing.StackedProfiles`
-pack, DAGs packed into one disjoint union, allotment LPs assembled
-block-diagonally, rounding and phase 2 vectorized across every block.
+pack, DAGs packed into one disjoint union, allotment LPs assembled per
+block, rounding and phase 2 vectorized across every block.
 Per block the returned schedules are bit-identical to the per-instance
 pipeline (asserted by the property suite and by every committed
 benchmark cell); the reports carry the same allotment, μ, ρ, lower

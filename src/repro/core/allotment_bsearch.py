@@ -47,6 +47,7 @@ from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
 from .arrays import memoized_on_instance
 from .instance import Instance
+from .lp import instance_lp9_arrays, lp_model
 from .rounding import round_fractional_times
 
 __all__ = [
@@ -71,10 +72,11 @@ class DeadlineLpResult:
 class DeadlineArrays(NamedTuple):
     """The deadline LP assembled in bulk (``A_ub v <= b_ub`` form).
 
-    Same variable layout as the modeling-layer build of
-    :func:`deadline_work_lp`: ``x_j = 3j``, ``C_j = 3j + 1``,
-    ``w_j = 3j + 2``; rows grouped per task (fit, work segments), then
-    the precedence arcs.  The deadline itself only appears as the upper
+    :func:`repro.core.lp.lp9_arrays` with ``coupled=False``: variables
+    ``x_j = 3j``, ``C_j = 3j + 1``, ``w_j = 3j + 2``; rows grouped per
+    task (a fit row for sources only — a task with a predecessor has it
+    implied by its precedence rows — then the work segments), then the
+    precedence arcs.  The deadline itself only appears as the upper
     bound of the ``C_j`` variables (``c_cols``), so one assembly serves
     every probe of the binary search.
     """
@@ -83,92 +85,24 @@ class DeadlineArrays(NamedTuple):
     c: np.ndarray  #: objective coefficients (1 on every w̄_j)
     lo: np.ndarray  #: variable lower bounds
     hi: np.ndarray  #: variable upper bounds, *without* a deadline
-    c_cols: np.ndarray  #: column indices of the C_j variables
     rows: np.ndarray  #: COO row indices of A_ub
     cols: np.ndarray  #: COO column indices of A_ub
     vals: np.ndarray  #: COO values of A_ub
     b_ub: np.ndarray  #: right-hand sides
+    c_cols: np.ndarray  #: column indices of the C_j variables
 
 
 @memoized_on_instance
 def assemble_deadline_arrays(instance: Instance) -> DeadlineArrays:
     """Assemble the deadline LP's constraint matrix once, memoized.
 
-    Built from the packed profile arrays and the DAG's CSR edge arrays —
-    the layout matches the modeling-layer path of
-    :func:`deadline_work_lp` row for row, so handing these arrays to the
-    same solver returns the same optimum.
+    The modeling-layer path of :func:`deadline_work_lp` is built from
+    the same arrays, so handing either to the same solver returns the
+    same optimum.
     """
-    from .arrays import instance_arrays
-
-    arr = instance_arrays(instance)
-    n = arr.n
-    nv = 3 * n
-    xs = np.arange(n) * 3
-    cs = xs + 1
-    ws = xs + 2
-
-    lo = np.zeros(nv)
-    hi = np.full(nv, np.inf)
-    lo[xs] = arr.min_time
-    hi[xs] = arr.max_time
-    lo[ws] = arr.work_lo
-    c = np.zeros(nv)
-    c[ws] = 1.0
-
-    # Per-task row block: fit_j, then the work segments of J_j.
-    nseg = arr.nseg
-    off = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(nseg + 1, out=off[1:])
-    fit_rows = off[:-1]
-    t_idx = arr.seg_task
-    # Flat segment p of task j sits at row off[j] + 1 + (p - segcum[j]);
-    # off[j] - segcum[j] = j, so the row is simply p + j + 1.
-    seg_rows = np.arange(len(t_idx)) + t_idx + 1
-
-    csr = instance.dag.to_csr()
-    edge_u = csr.edge_sources()
-    edge_v = csr.succ_indices
-    ne = len(edge_v)
-    prec_rows = off[-1] + np.arange(ne)
-    n_rows = int(off[-1]) + ne
-
-    rows = np.concatenate(
-        [
-            np.repeat(fit_rows, 2),  # x_j - C_j <= 0
-            np.repeat(seg_rows, 2),  # slope·x_j - w_j <= -intercept
-            np.repeat(prec_rows, 3),  # C_i + x_j - C_j <= 0
-        ]
-    )
-    cols = np.concatenate(
-        [
-            np.column_stack([xs, cs]).ravel(),
-            np.column_stack([xs[t_idx], ws[t_idx]]).ravel(),
-            np.column_stack([cs[edge_u], xs[edge_v], cs[edge_v]]).ravel(),
-        ]
-    )
-    vals = np.concatenate(
-        [
-            np.tile([1.0, -1.0], n),
-            np.column_stack(
-                [arr.seg_slope, np.full(len(t_idx), -1.0)]
-            ).ravel(),
-            np.tile([1.0, 1.0, -1.0], ne),
-        ]
-    )
-    b_ub = np.zeros(n_rows)
-    b_ub[seg_rows] = -arr.seg_intercept
-
+    arrays = instance_lp9_arrays(instance, coupled=False)
     return DeadlineArrays(
-        n_variables=nv,
-        c=c,
-        lo=lo,
-        hi=hi,
-        c_cols=cs,
-        rows=rows,
-        cols=cols,
-        vals=vals,
-        b_ub=b_ub,
+        *arrays, c_cols=np.arange(1, arrays.n_variables, 3)
     )
 
 
@@ -176,34 +110,11 @@ def _build_deadline_model(
     instance: Instance, deadline: float
 ) -> Tuple[LinearProgram, list]:
     """Modeling-layer build of the deadline LP (the dense fallback)."""
-    lp = LinearProgram(name=f"deadline-work d={deadline:g}")
-    n = instance.n_tasks
-    x_vars, c_vars, w_vars = [], [], []
-    for j in range(n):
-        t = instance.task(j)
-        x_vars.append(lp.add_variable(f"x{j}", lo=t.min_time, hi=t.max_time))
-        c_vars.append(lp.add_variable(f"C{j}", lo=0.0, hi=deadline))
-        segs = t.segments()
-        w_lo = t.breakpoints[0][0] * t.breakpoints[0][1] if not segs else 0.0
-        w_vars.append(lp.add_variable(f"w{j}", lo=w_lo, obj=1.0))
-        lp.add_constraint(
-            {x_vars[j]: 1.0, c_vars[j]: -1.0}, "<=", 0.0, name=f"fit{j}"
-        )
-        for seg in segs:
-            lp.add_constraint(
-                {x_vars[j]: seg.slope, w_vars[j]: -1.0},
-                "<=",
-                -seg.intercept,
-                name=f"work{j}l{seg.l}",
-            )
-    for (i, j) in instance.dag.edges:
-        lp.add_constraint(
-            {c_vars[i]: 1.0, x_vars[j]: 1.0, c_vars[j]: -1.0},
-            "<=",
-            0.0,
-            name=f"prec{i}-{j}",
-        )
-    return lp, x_vars
+    arrays = assemble_deadline_arrays(instance)
+    hi = arrays.hi.copy()
+    hi[arrays.c_cols] = deadline
+    lp = lp_model(arrays._replace(hi=hi), f"deadline-work d={deadline:g}")
+    return lp, list(range(0, arrays.n_variables, 3))
 
 
 _PROBES = _METRICS.counter(
@@ -240,11 +151,12 @@ class _DeadlineSolver:
         self._matrix = None
         if backend in ("auto", "scipy"):
             try:
-                from ..lpsolve.scipy_backend import build_ub_matrix
+                # Importing the SciPy backend is the availability check.
+                from ..lpsolve.scipy_backend import colwise
 
                 if warm_start:
                     self._arrays = assemble_deadline_arrays(instance)
-                    self._matrix = build_ub_matrix(self._arrays)
+                    self._matrix = colwise(self._arrays)
             except ImportError:
                 if backend == "scipy":
                     raise LpError(

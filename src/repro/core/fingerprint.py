@@ -63,10 +63,15 @@ def instance_content_key(instance: "Instance") -> str:
         ).tobytes()
     )
     # The (n, m) times matrix in row-major order; n and m above fix the
-    # framing.  The memoized array image is byte-identical to hashing
-    # each task's profile in index order and skips per-task dispatch on
-    # large instances (this sits on the service ingest path).
-    h.update(instance_arrays(instance).times.astype(">f8").tobytes())
+    # framing.  A memoized array image is reused when one exists;
+    # otherwise only the matrix is built — the full image also derives
+    # every task's LP segments, which a service cache hit never reads.
+    arrays = instance_arrays.peek(instance)
+    times = (
+        arrays.times if arrays is not None
+        else np.array([t.times for t in instance.tasks], dtype=float)
+    )
+    h.update(times.astype(">f8").tobytes())
     csr = instance.dag.to_csr()
     h.update(np.asarray(csr.succ_indptr, dtype=">i8").tobytes())
     h.update(np.asarray(csr.succ_indices, dtype=">i8").tobytes())

@@ -87,6 +87,26 @@ _SELECT_TOL = 1e-12
 #: setup of the array path costs more than the whole solve.
 _TINY_N = 64
 
+#: The array tier pays off once the ready frontier holds about a hundred
+#: tasks.  The mean level width ``n / #levels`` under-reads the frontier
+#: of a LIST pass (tasks turn ready before "their" level), the widest
+#: level over-reads it on triangular DAGs (LU, Cholesky); the product of
+#: the two tracked the array/loop crossover on every measured family
+#: (Erdős–Rényi n = 400–10,000 at out-degree 2 and 8, m = 4–32, and the
+#: library families at n = 300–3,000).  The array tier runs when
+#: ``widest * n / #levels >= _WIDE_FRONTIER``.
+_WIDE_FRONTIER = 70 * 70
+
+
+def _array_tier(n: int, csr) -> bool:
+    """The loop/array choice of :func:`list_schedule` (both tiers are
+    bit-identical, so this is purely a constant-factor choice)."""
+    if n < 256:
+        return False
+    ptr = csr.depths().ptr
+    widest = int(np.diff(ptr).max())
+    return widest * n >= _WIDE_FRONTIER * (len(ptr) - 1)
+
 
 def dispatch_tier(instance: Instance) -> str:
     """Which kernel tier :func:`list_schedule` would run on ``instance``.
@@ -99,10 +119,7 @@ def dispatch_tier(instance: Instance) -> str:
     this predicate must not either.
     """
     n = instance.n_tasks
-    if n < 256:
-        return "loop"
-    csr = instance.dag.to_csr()
-    if n < 96 * csr.depths().n_levels:
+    if n < 256 or not _array_tier(n, instance.dag.to_csr()):
         return "loop"
     return "array"
 
@@ -165,12 +182,8 @@ def list_schedule(
     csr = instance.dag.to_csr()
     # Narrow-frontier dispatch: on deep, thin DAGs (chains, skinny
     # layers) the ready set holds a handful of tasks and the per-task
-    # loop beats per-iteration NumPy overhead; the average level width
-    # n / #levels tracks the frontier width well and the crossover sits
-    # near 100 (measured).  Both paths are bit-identical (and validate
-    # their arguments identically), so this is purely a constant-factor
-    # choice.
-    if n < 256 or n < 96 * csr.depths().n_levels:
+    # loop beats per-iteration NumPy overhead — see _WIDE_FRONTIER.
+    if not _array_tier(n, csr):
         return list_schedule_loop(instance, allotment, mu=mu)
 
     instance.validate_allotment(allotment)

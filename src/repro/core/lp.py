@@ -9,17 +9,33 @@ written as the genuine linear program (9):
 
     min  C
     s.t. C_i + x_j <= C_j                   for every arc (i, j)
-         x_j <= C_j                          (source tasks must fit too)
-         0 <= C_j <= L
+         x_j <= C_j                          for every source j
+         C_j <= L                            for every sink j
          segment_l(x_j) <= w̄_j              for every work segment of J_j
          L <= C
          (Σ_j w̄_j) / m <= C
-         p_j(m) <= x_j <= p_j(1)
+         p_j(m) <= x_j <= p_j(1),  C_j >= 0
 
 where ``segment_l`` are the chords of eq. (8).  Embedding both criteria in
 one LP with the extra ``L <= C`` and ``W/m <= C`` rows is what lets the
 paper avoid the binary search of Lepère et al. [18] (see the Remark at the
 end of Section 3.1).
+
+The paper states the fit row ``x_j <= C_j`` and the span row
+``C_j <= L`` for *every* task; most of them are implied and are not
+emitted.  A task with a predecessor ``i`` has ``x_j <= C_i + x_j <=
+C_j`` (as ``C_i >= 0``), and a task with a successor ``k`` has ``C_j <=
+C_j + x_k <= C_k`` (as ``x_k >= p_k(m) > 0``), which chains down to a
+sink's span row.  So only sources carry a fit row and only sinks a span
+row, and the model has ``3n + 2`` variables and
+
+    |E| + #sources + #sinks + Σ_j (#segments_j) + 2
+
+rows, the same optimum and the same feasible ``x``.  Every consumer of
+the layout — the bulk assembly, the modeling layer, the deadline LP of
+:mod:`repro.core.allotment_bsearch`, the batched assembly and the
+evolve-path row patcher — goes through the one row generator
+:func:`lp9_arrays`.
 
 The optimum satisfies ``max(L*, W*/m) <= C* <= OPT`` (eq. (11)), making
 ``C*`` the certified lower bound every ratio measurement in the benchmark
@@ -29,11 +45,11 @@ harness divides by.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..lpsolve import LinearProgram, LpSolution
+from ..lpsolve import LinearProgram, LpSolution, UbArrays
 from ..obs import trace as obs_trace
 from .arrays import memoized_on_instance
 from .instance import Instance
@@ -44,6 +60,9 @@ __all__ = [
     "AllotmentArrays",
     "assemble_allotment_arrays",
     "build_allotment_lp",
+    "instance_lp9_arrays",
+    "lp9_arrays",
+    "lp_model",
     "patch_allotment_arrays",
     "solve_allotment_lp",
 ]
@@ -97,199 +116,188 @@ class AllotmentLp:
     c_max_var: int
 
 
-def build_allotment_lp(instance: Instance) -> AllotmentLp:
-    """Construct LP (9) for ``instance``.
+#: LP (9) as NumPy arrays — the :class:`repro.lpsolve.UbArrays` shape,
+#: in the layout :func:`lp9_arrays` documents.
+AllotmentArrays = UbArrays
 
-    The model has ``3n + 2`` variables and
-    ``|E| + 2n + Σ_j (#segments_j) + 2`` constraints — polynomial in ``n``
-    and ``m`` as the paper notes.
+
+def lp9_arrays(
+    m: int,
+    min_time: np.ndarray,
+    max_time: np.ndarray,
+    work_lo: np.ndarray,
+    seg_task: np.ndarray,
+    seg_slope: np.ndarray,
+    seg_intercept: np.ndarray,
+    edge_u: np.ndarray,
+    edge_v: np.ndarray,
+    coupled: bool = True,
+) -> AllotmentArrays:
+    """The one row generator for LP (9) and its deadline variant.
+
+    Takes the packed profile arrays (per task ``p_j(m)``, ``p_j(1)``
+    and the rigid-work bound; per flat segment, in task order, its task,
+    slope and intercept) and the arcs ``edge_u[k] -> edge_v[k]``, and
+    emits the slim layout.  Variables are ``x_j = 3j``, ``C_j = 3j + 1``,
+    ``w_j = 3j + 2``, then ``L = 3n`` and ``C = 3n + 1``.  Rows are
+    grouped per task — the fit row if ``j`` is a source, the span row if
+    ``j`` is a sink, then the work segments of ``J_j`` — followed by the
+    precedence arcs in CSR order and the two coupling rows ``L <= C``
+    and ``W/m <= C``: ``|E| + #sources + #sinks + Σ_j #segments_j + 2``
+    rows (the module docstring explains which rows are implied).  The
+    COO triplets list every segment's ``(slope, -1)`` pair first, so the
+    slope of flat segment ``p`` is entry ``2p``.
+
+    ``coupled=False`` gives the deadline LP of
+    :mod:`repro.core.allotment_bsearch` instead: no ``L``/``C``
+    variables, no span or coupling rows, objective ``Σ_j w̄_j``.
     """
-    lp = LinearProgram(name=f"allotment(9) n={instance.n_tasks} m={instance.m}")
-    n = instance.n_tasks
-    m = instance.m
+    n = len(min_time)
+    xs = np.arange(n, dtype=np.intp) * 3
+    cs = xs + 1
+    ws = xs + 2
+    nv = 3 * n + 2 if coupled else 3 * n
+    lo = np.zeros(nv)
+    hi = np.full(nv, np.inf)
+    lo[xs] = min_time
+    hi[xs] = max_time
+    # Rigid tasks (no segments) have constant work; bound w̄ directly.
+    lo[ws] = work_lo
+    c = np.zeros(nv)
+    if coupled:
+        c[3 * n + 1] = 1.0
+    else:
+        c[ws] = 1.0
 
-    x_vars = []
-    c_vars = []
-    w_vars = []
-    for j in range(n):
-        t = instance.task(j)
-        x_vars.append(
-            lp.add_variable(f"x{j}", lo=t.min_time, hi=t.max_time)
-        )
-        c_vars.append(lp.add_variable(f"C{j}", lo=0.0))
-        # Rigid tasks (no segments) have constant work; bound w̄ directly.
-        segs = t.segments()
-        w_lo = t.breakpoints[0][0] * t.breakpoints[0][1] if not segs else 0.0
-        w_vars.append(lp.add_variable(f"w{j}", lo=w_lo))
-    l_var = lp.add_variable("L", lo=0.0)
-    c_max_var = lp.add_variable("C", lo=0.0, obj=1.0)
+    # Only sources need a fit row and only sinks a span row.
+    fit = np.bincount(edge_v, minlength=n) == 0
+    span = np.bincount(edge_u, minlength=n) == 0 if coupled else (
+        np.zeros(n, dtype=bool)
+    )
+    head = fit.astype(np.intp) + span
+    nseg = np.bincount(seg_task, minlength=n)
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(head + nseg, out=start[1:])
+    fit_j = np.flatnonzero(fit)
+    span_j = np.flatnonzero(span)
+    fit_rows = start[fit_j]
+    span_rows = start[span_j] + fit[span_j]
+    # Flat segment p of task j follows the task's head rows:
+    # start[j] + head[j] + (p - Σ_{k<j} nseg_k) = p + Σ_{k<=j} head_k.
+    seg_rows = np.arange(len(seg_task)) + np.cumsum(head)[seg_task]
+    ne = len(edge_u)
+    prec_rows = start[-1] + np.arange(ne)
+    n_rows = int(start[-1]) + ne
 
-    for j in range(n):
-        # Task must fit before its completion even with no predecessors.
-        lp.add_constraint(
-            {x_vars[j]: 1.0, c_vars[j]: -1.0}, "<=", 0.0, name=f"fit{j}"
-        )
-        # All tasks finish by the critical-path bound L.
-        lp.add_constraint(
-            {c_vars[j]: 1.0, l_var: -1.0}, "<=", 0.0, name=f"span{j}"
-        )
-        # Work linearization: every chord of eq. (8) under-estimates w̄.
-        for seg in instance.task(j).segments():
-            lp.add_constraint(
-                {x_vars[j]: seg.slope, w_vars[j]: -1.0},
-                "<=",
-                -seg.intercept,
-                name=f"work{j}l{seg.l}",
-            )
-
-    for (i, j) in instance.dag.edges:
-        lp.add_constraint(
-            {c_vars[i]: 1.0, x_vars[j]: 1.0, c_vars[j]: -1.0},
-            "<=",
-            0.0,
-            name=f"prec{i}-{j}",
-        )
-
-    lp.add_constraint({l_var: 1.0, c_max_var: -1.0}, "<=", 0.0, name="L<=C")
-    lp.add_constraint(
-        {**{w: 1.0 for w in w_vars}, c_max_var: -float(m)},
-        "<=",
-        0.0,
-        name="W/m<=C",
+    rows = [
+        np.repeat(seg_rows, 2),  # slope·x_j - w_j <= -intercept
+        np.repeat(fit_rows, 2),  # x_j - C_j <= 0
+        np.repeat(span_rows, 2),  # C_j - L <= 0
+        np.repeat(prec_rows, 3),  # C_i + x_j - C_j <= 0
+    ]
+    cols = [
+        np.column_stack([xs[seg_task], ws[seg_task]]).ravel(),
+        np.column_stack([xs[fit_j], cs[fit_j]]).ravel(),
+        np.column_stack([cs[span_j], np.full(len(span_j), 3 * n)]).ravel(),
+        np.column_stack([cs[edge_u], xs[edge_v], cs[edge_v]]).ravel(),
+    ]
+    vals = [
+        np.column_stack([seg_slope, np.full(len(seg_task), -1.0)]).ravel(),
+        np.tile([1.0, -1.0], len(fit_j)),
+        np.tile([1.0, -1.0], len(span_j)),
+        np.tile([1.0, 1.0, -1.0], ne),
+    ]
+    if coupled:
+        r_lc, r_wm = n_rows, n_rows + 1
+        n_rows += 2
+        # L <= C and W/m <= C.
+        rows += [np.array([r_lc, r_lc]), np.full(n + 1, r_wm)]
+        cols += [np.array([3 * n, 3 * n + 1]), np.append(ws, 3 * n + 1)]
+        vals += [np.array([1.0, -1.0]), np.append(np.ones(n), -float(m))]
+    b_ub = np.zeros(n_rows)
+    b_ub[seg_rows] = -seg_intercept
+    return AllotmentArrays(
+        n_variables=nv,
+        c=c,
+        lo=lo,
+        hi=hi,
+        rows=np.concatenate(rows).astype(np.intp, copy=False),
+        cols=np.concatenate(cols).astype(np.intp, copy=False),
+        vals=np.concatenate(vals),
+        b_ub=b_ub,
     )
 
+
+def instance_lp9_arrays(instance: Instance, coupled: bool = True):
+    """:func:`lp9_arrays` fed from the memoized packed profile arrays
+    (:func:`repro.core.arrays.instance_arrays`) and the DAG's CSR."""
+    from .arrays import instance_arrays
+
+    arr = instance_arrays(instance)
+    csr = instance.dag.to_csr()
+    return lp9_arrays(
+        arr.m, arr.min_time, arr.max_time, arr.work_lo, arr.seg_task,
+        arr.seg_slope, arr.seg_intercept, csr.edge_sources(),
+        csr.succ_indices, coupled=coupled,
+    )
+
+
+def lp_model(arrays, name: str) -> LinearProgram:
+    """The modeling-layer twin of an assembled model: the same
+    variables, bounds, objective and rows, in the same order."""
+    lp = LinearProgram(name=name)
+    n = arrays.n_variables // 3
+    for v in range(arrays.n_variables):
+        label = f"{'xCw'[v % 3]}{v // 3}" if v < 3 * n else "LC"[v - 3 * n]
+        lp.add_variable(
+            label, lo=arrays.lo[v], hi=arrays.hi[v], obj=arrays.c[v]
+        )
+    order = np.argsort(arrays.rows, kind="stable")
+    bounds = np.searchsorted(
+        arrays.rows[order], np.arange(len(arrays.b_ub) + 1)
+    ).tolist()
+    cols = arrays.cols[order].tolist()
+    vals = arrays.vals[order].tolist()
+    for r, rhs in enumerate(arrays.b_ub.tolist()):
+        s, e = bounds[r], bounds[r + 1]
+        lp.add_constraint(dict(zip(cols[s:e], vals[s:e])), "<=", rhs)
+    return lp
+
+
+def build_allotment_lp(instance: Instance) -> AllotmentLp:
+    """Construct LP (9) for ``instance`` in the modeling layer.
+
+    The model is :func:`lp_model` of :func:`assemble_allotment_arrays`:
+    ``3n + 2`` variables and
+    ``|E| + #sources + #sinks + Σ_j (#segments_j) + 2`` constraints —
+    polynomial in ``n`` and ``m`` as the paper notes, with the implied
+    fit/span rows left out (see the module docstring).
+    """
+    n = instance.n_tasks
+    lp = lp_model(
+        assemble_allotment_arrays(instance),
+        f"allotment(9) n={n} m={instance.m}",
+    )
     return AllotmentLp(
         lp=lp,
-        x_vars=tuple(x_vars),
-        c_vars=tuple(c_vars),
-        w_vars=tuple(w_vars),
-        l_var=l_var,
-        c_max_var=c_max_var,
+        x_vars=tuple(range(0, 3 * n, 3)),
+        c_vars=tuple(range(1, 3 * n, 3)),
+        w_vars=tuple(range(2, 3 * n, 3)),
+        l_var=3 * n,
+        c_max_var=3 * n + 1,
     )
-
-
-class AllotmentArrays(NamedTuple):
-    """LP (9) assembled in bulk as NumPy arrays (``A_ub v <= b_ub`` form).
-
-    The layout is exactly the one :func:`build_allotment_lp` produces via
-    the modeling layer: variables ``x_j = 3j``, ``C_j = 3j + 1``,
-    ``w_j = 3j + 2``, then ``L = 3n`` and ``C = 3n + 1``; rows grouped per
-    task (fit, span, work segments), then precedence arcs, then the two
-    coupling rows ``L <= C`` and ``W/m <= C``.  Keeping the layout
-    identical means the sparse matrix handed to the solver is the same in
-    both paths, so the fast path returns the same optimum.
-    """
-
-    n_variables: int
-    c: np.ndarray  #: objective coefficients
-    lo: np.ndarray  #: variable lower bounds
-    hi: np.ndarray  #: variable upper bounds
-    rows: np.ndarray  #: COO row indices of A_ub
-    cols: np.ndarray  #: COO column indices of A_ub
-    vals: np.ndarray  #: COO values of A_ub
-    b_ub: np.ndarray  #: right-hand sides
 
 
 @memoized_on_instance
 def assemble_allotment_arrays(instance: Instance) -> AllotmentArrays:
     """Assemble LP (9) for ``instance`` directly into NumPy arrays.
 
-    Equivalent to :func:`build_allotment_lp` followed by the modeling-layer
-    conversion, but built in bulk from the memoized packed profile arrays
-    (:func:`repro.core.arrays.instance_arrays`) and the DAG's CSR edge
-    arrays — no per-task or per-edge Python work at all.  The result is
-    itself memoized per instance (weakly), so the LP-based strategies of
-    a pipeline sweep share one assembly.
+    :func:`lp9_arrays` over the memoized packed profile arrays and the
+    DAG's CSR edge arrays — no per-task or per-edge Python work at all.
+    The result is itself memoized per instance (weakly), so the LP-based
+    strategies of a pipeline sweep share one assembly.
     """
-    from .arrays import instance_arrays
-
-    arr = instance_arrays(instance)
-    n = arr.n
-    m = arr.m
-    nv = 3 * n + 2
-    xs = np.arange(n) * 3
-    cs = xs + 1
-    ws = xs + 2
-    l_var = 3 * n
-    c_max = 3 * n + 1
-
-    nseg = arr.nseg
-    slopes = arr.seg_slope
-    intercepts = arr.seg_intercept
-
-    lo = np.zeros(nv)
-    hi = np.full(nv, np.inf)
-    lo[xs] = arr.min_time
-    hi[xs] = arr.max_time
-    # Rigid tasks (no segments) have constant work; bound w̄ directly.
-    lo[ws] = arr.work_lo
-    c = np.zeros(nv)
-    c[c_max] = 1.0
-
-    # Per-task row block: fit_j, span_j, then the work segments of J_j.
-    block = nseg + 2
-    off = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(block, out=off[1:])
-    fit_rows = off[:-1]
-    span_rows = off[:-1] + 1
-    t_idx = arr.seg_task
-    # Flat segment p of task j sits at row off[j] + 2 + (p - segcum[j]);
-    # off[j] - segcum[j] = 2j, so the row is simply p + 2·j + 2.
-    seg_rows = np.arange(len(t_idx)) + 2 * t_idx + 2
-
-    csr = instance.dag.to_csr()
-    edges = np.column_stack([csr.edge_sources(), csr.succ_indices])
-    ne = len(edges)
-    prec_rows = off[-1] + np.arange(ne)
-    r_lc = off[-1] + ne  # L <= C
-    r_wm = r_lc + 1  # W/m <= C
-    n_rows = int(r_wm) + 1
-
-    rows = np.concatenate(
-        [
-            np.repeat(fit_rows, 2),  # x_j - C_j <= 0
-            np.repeat(span_rows, 2),  # C_j - L <= 0
-            np.repeat(seg_rows, 2),  # slope·x_j - w_j <= -intercept
-            np.repeat(prec_rows, 3),  # C_i + x_j - C_j <= 0
-            np.array([r_lc, r_lc], dtype=np.intp),
-            np.full(n + 1, r_wm, dtype=np.intp),
-        ]
-    )
-    cols = np.concatenate(
-        [
-            np.column_stack([xs, cs]).ravel(),
-            np.column_stack([cs, np.full(n, l_var)]).ravel(),
-            np.column_stack([xs[t_idx], ws[t_idx]]).ravel(),
-            np.column_stack(
-                [cs[edges[:, 0]], xs[edges[:, 1]], cs[edges[:, 1]]]
-            ).ravel(),
-            np.array([l_var, c_max], dtype=np.intp),
-            np.append(ws, c_max),
-        ]
-    )
-    vals = np.concatenate(
-        [
-            np.tile([1.0, -1.0], n),
-            np.tile([1.0, -1.0], n),
-            np.column_stack([slopes, np.full(len(t_idx), -1.0)]).ravel(),
-            np.tile([1.0, 1.0, -1.0], ne),
-            np.array([1.0, -1.0]),
-            np.append(np.ones(n), -float(m)),
-        ]
-    )
-    b_ub = np.zeros(n_rows)
-    b_ub[seg_rows] = -intercepts
-
-    return AllotmentArrays(
-        n_variables=nv,
-        c=c,
-        lo=lo,
-        hi=hi,
-        rows=rows,
-        cols=cols,
-        vals=vals,
-        b_ub=b_ub,
-    )
+    return instance_lp9_arrays(instance)
 
 
 def patch_allotment_arrays(
@@ -309,23 +317,20 @@ def patch_allotment_arrays(
     ``retimed`` the child-space ids whose profile changed.
     """
     retimed_arr = np.asarray(sorted(retimed), dtype=np.intp)
-    n = child_arr.n
     xs = retimed_arr * 3
     lo = parent.lo.copy()
     hi = parent.hi.copy()
     lo[xs] = child_arr.min_time[retimed_arr]
     hi[xs] = child_arr.max_time[retimed_arr]
     lo[xs + 2] = child_arr.work_lo[retimed_arr]
-    t_idx = child_arr.seg_task
-    flat = np.flatnonzero(np.isin(t_idx, retimed_arr))
+    flat = np.flatnonzero(np.isin(child_arr.seg_task, retimed_arr))
+    # lp9_arrays lists flat segment p's slope as COO entry 2p; the
+    # entry's row index is the segment's row.
+    nz = 2 * flat
     vals = parent.vals.copy()
-    # vals layout (see assemble_allotment_arrays): 2n fit entries, 2n
-    # span entries, then the (slope, -1) pair of each flat segment —
-    # flat segment p's slope sits at 4n + 2p.
-    vals[4 * n + 2 * flat] = child_arr.seg_slope[flat]
+    vals[nz] = child_arr.seg_slope[flat]
     b_ub = parent.b_ub.copy()
-    seg_rows = flat + 2 * t_idx[flat] + 2
-    b_ub[seg_rows] = -child_arr.seg_intercept[flat]
+    b_ub[parent.rows[nz]] = -child_arr.seg_intercept[flat]
     return parent._replace(lo=lo, hi=hi, vals=vals, b_ub=b_ub)
 
 

@@ -1,6 +1,6 @@
 """LP substrate: modeling layer, built-in simplex, optional SciPy backend."""
 
-from .model import LinearProgram, LpError, LpSolution, LpStatus
+from .model import LinearProgram, LpError, LpSolution, LpStatus, UbArrays
 from .simplex import solve_with_simplex
 
 __all__ = [
@@ -8,5 +8,6 @@ __all__ = [
     "LpError",
     "LpSolution",
     "LpStatus",
+    "UbArrays",
     "solve_with_simplex",
 ]

@@ -1,32 +1,33 @@
-"""Persistent HiGHS model with basis-reusing delta re-solves.
+"""The HiGHS seam: one model loader, one-shot and basis-reusing solves.
 
-The one-shot solvers in this package hand the LP to
-``scipy.optimize.linprog`` and throw the solver state away.  For the
-incremental path (:mod:`repro.pipeline.incremental`) that is exactly the
-wrong shape: an evolution that retimes one task perturbs a handful of
-variable bounds and segment coefficients of LP (9), and a dual simplex
-restarted from the previous optimal basis re-proves optimality in a few
-pivots instead of thousands.
+Every HiGHS solve in this package loads its model through
+:func:`load_highs` — the solver vendored inside SciPy
+(``scipy.optimize._highspy``), fed the ``A_ub v <= b_ub`` arrays
+directly, with the option set ``scipy.optimize.linprog(method="highs")``
+uses — and reads the optimum back through :func:`run_highs`.  The cold
+seam (:func:`repro.lpsolve.scipy_backend.solve_ub_arrays`) loads, runs
+and drops the model.
 
-:class:`WarmUbModel` keeps a live HiGHS instance (the solver vendored
-inside SciPy — no extra dependency) loaded with an
-``A_ub v <= b_ub`` model in :class:`repro.core.lp.AllotmentArrays`
-layout.  The first :meth:`solve` is a normal cold solve; afterwards the
-model stays resident and :meth:`update` *diffs* a patched assembly
-against the loaded one — changed variable bounds, changed matrix
-coefficients, changed right-hand sides — and pushes exactly those edits
-through HiGHS's modification API, which preserves the factorized basis.
-Presolve is disabled after the first solve: re-presolving would discard
-the basis and cost more than the handful of warm pivots it saves.
+For the incremental path (:mod:`repro.pipeline.incremental`) that is
+the wrong shape: an evolution that retimes one task perturbs a handful
+of variable bounds and segment coefficients of LP (9), and a dual
+simplex restarted from the previous optimal basis re-proves optimality
+in a few pivots instead of thousands.  :class:`WarmUbModel` keeps the
+loaded model resident.  The first :meth:`~WarmUbModel.solve` is a normal
+cold solve; afterwards :meth:`~WarmUbModel.update` *diffs* a patched
+assembly against the loaded one — changed variable bounds, changed
+matrix coefficients, changed right-hand sides — and pushes exactly
+those edits through HiGHS's modification API, which preserves the
+factorized basis.  Presolve is disabled after the first solve:
+re-presolving would discard the basis and cost more than the handful of
+warm pivots it saves.
 
 The module degrades gracefully: when the vendored binding is missing
-(:func:`warm_capable` is ``False``) callers fall back to cold solves
-through the ordinary SciPy backend.
+(:func:`warm_capable` is ``False``) callers fall back to
+``scipy.optimize.linprog``.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -39,7 +40,13 @@ try:  # pragma: no cover - availability depends on the SciPy build
 except ImportError:  # pragma: no cover
     _highs_core = None
 
-__all__ = ["WarmUbModel", "warm_capable"]
+__all__ = [
+    "WarmUbModel",
+    "colwise",
+    "load_highs",
+    "run_highs",
+    "warm_capable",
+]
 
 _INF = float("inf")
 
@@ -60,7 +67,7 @@ def warm_capable() -> bool:
     return _highs_core is not None
 
 
-def _to_colwise(arrays):
+def colwise(arrays):
     """COO triplets → CSC (start, index, value) for HiGHS kColwise."""
     order = np.lexsort((arrays.rows, arrays.cols))
     cols = np.asarray(arrays.cols)[order]
@@ -75,13 +82,77 @@ def _to_colwise(arrays):
     )
 
 
+def load_highs(arrays, row_lower=None, matrix=None):
+    """A HiGHS instance loaded with ``row_lower <= A v <= b_ub``.
+
+    The one model loader behind every HiGHS solve in this package: the
+    cold seam (:func:`repro.lpsolve.scipy_backend.solve_ub_arrays`) and
+    :class:`WarmUbModel`.  ``arrays`` is a
+    :class:`repro.lpsolve.UbArrays`-shaped tuple; ``row_lower``
+    defaults to ``-inf`` (pure ``A_ub`` rows) and ``matrix`` to
+    :func:`colwise` of the triplets.  The options are the ones
+    ``scipy.optimize.linprog(method="highs")`` passes, so a solve here
+    returns the same solution, bit for bit.
+    """
+    if _highs_core is None:  # pragma: no cover - guarded by callers
+        raise LpError("SciPy's vendored HiGHS binding is unavailable")
+    n_rows = len(arrays.b_ub)
+    lp = _highs_core.HighsLp()
+    lp.num_col_ = int(arrays.n_variables)
+    lp.num_row_ = int(n_rows)
+    lp.col_cost_ = np.asarray(arrays.c, dtype=float)
+    lp.col_lower_ = np.asarray(arrays.lo, dtype=float)
+    lp.col_upper_ = np.asarray(arrays.hi, dtype=float)
+    lp.row_lower_ = (
+        np.full(n_rows, -_INF) if row_lower is None
+        else np.asarray(row_lower, dtype=float)
+    )
+    lp.row_upper_ = np.asarray(arrays.b_ub, dtype=float)
+    start, index, value = colwise(arrays) if matrix is None else matrix
+    lp.a_matrix_.format_ = _highs_core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
+    h = _highs_core._Highs()
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("presolve", "on")
+    h.setOptionValue("simplex_strategy", 1)  # dual simplex
+    h.passModel(lp)
+    return h
+
+
+def run_highs(h, backend: str) -> LpSolution:
+    """Solve a loaded model and read its optimum; raises
+    :class:`LpError` on infeasible/unbounded models."""
+    h.run()
+    status = h.getModelStatus()
+    Status = _highs_core.HighsModelStatus
+    if status == Status.kInfeasible:
+        raise LpError(LpStatus.INFEASIBLE)
+    if status in (Status.kUnbounded, Status.kUnboundedOrInfeasible):
+        raise LpError(LpStatus.UNBOUNDED)
+    if status != Status.kOptimal:  # pragma: no cover - solver quirks
+        raise LpError(f"HiGHS solve failed: {h.modelStatusToString(status)}")
+    info = h.getInfo()
+    iterations = int(info.simplex_iteration_count)
+    obs_trace.add("lp_pivots", iterations)
+    _PIVOTS.labels(backend).inc(iterations)
+    return LpSolution(
+        status=LpStatus.OPTIMAL,
+        objective=float(info.objective_function_value),
+        values=tuple(h.getSolution().col_value),
+        backend=backend,
+        iterations=iterations,
+    )
+
+
 class WarmUbModel:
     """A resident HiGHS model over a pre-assembled ``A_ub v <= b_ub`` LP.
 
     Parameters
     ----------
     arrays:
-        An :class:`repro.core.lp.AllotmentArrays`-shaped tuple (COO
+        A :class:`repro.lpsolve.UbArrays`-shaped tuple (COO
         triplets, objective, bounds).  The model keeps a reference: the
         sparsity pattern is fixed for the model's lifetime, and
         :meth:`update` accepts only assemblies with the identical
@@ -90,33 +161,9 @@ class WarmUbModel:
     """
 
     def __init__(self, arrays):
-        if _highs_core is None:  # pragma: no cover - guarded by callers
-            raise LpError(
-                "warm HiGHS re-solve requested but SciPy's vendored "
-                "HiGHS binding is unavailable"
-            )
         self._arrays = arrays
         self._solved_once = False
-        n_rows = len(arrays.b_ub)
-
-        lp = _highs_core.HighsLp()
-        lp.num_col_ = int(arrays.n_variables)
-        lp.num_row_ = int(n_rows)
-        lp.col_cost_ = np.asarray(arrays.c, dtype=float)
-        lp.col_lower_ = np.asarray(arrays.lo, dtype=float)
-        lp.col_upper_ = np.asarray(arrays.hi, dtype=float)
-        lp.row_lower_ = np.full(n_rows, -_INF)
-        lp.row_upper_ = np.asarray(arrays.b_ub, dtype=float)
-        start, index, value = _to_colwise(arrays)
-        lp.a_matrix_.format_ = _highs_core.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = start
-        lp.a_matrix_.index_ = index
-        lp.a_matrix_.value_ = value
-
-        h = _highs_core._Highs()
-        h.setOptionValue("output_flag", False)
-        h.passModel(lp)
-        self._h = h
+        self._h = load_highs(arrays)
 
     # ------------------------------------------------------------------
     def update(self, arrays) -> int:
@@ -161,38 +208,17 @@ class WarmUbModel:
     def solve(self) -> LpSolution:
         """Run the solver; warm from the previous basis after the first
         call.  Raises :class:`LpError` on infeasible/unbounded models."""
-        h = self._h
         warm = self._solved_once
-        h.run()
-        status = h.getModelStatus()
-        Status = _highs_core.HighsModelStatus
-        if status == Status.kInfeasible:
-            raise LpError(LpStatus.INFEASIBLE)
-        if status in (Status.kUnbounded, Status.kUnboundedOrInfeasible):
-            raise LpError(LpStatus.UNBOUNDED)
-        if status != Status.kOptimal:  # pragma: no cover - solver quirks
-            raise LpError(
-                f"warm HiGHS solve failed: {h.modelStatusToString(status)}"
-            )
-        if not self._solved_once:
+        sol = run_highs(self._h, "highs-warm")
+        if not warm:
             # Presolve would run again on every re-solve and discard
             # the basis; from here on the warm pivots are the point.
-            h.setOptionValue("presolve", "off")
+            self._h.setOptionValue("presolve", "off")
             self._solved_once = True
-        sol = h.getSolution()
-        iterations = int(h.getInfoValue("simplex_iteration_count")[1])
-        obs_trace.add("lp_pivots", iterations)
-        _PIVOTS.labels("highs-warm").inc(iterations)
-        if warm:
+        else:
             obs_trace.add("warm_starts", 1)
             _WARM.labels("highs-warm").inc()
-        return LpSolution(
-            status=LpStatus.OPTIMAL,
-            objective=float(h.getObjectiveValue()),
-            values=tuple(float(v) for v in sol.col_value),
-            backend="highs-warm",
-            iterations=iterations,
-        )
+        return sol
 
     @property
     def arrays(self):

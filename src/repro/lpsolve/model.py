@@ -18,9 +18,11 @@ linear constraints with senses ``<=``, ``>=`` or ``==``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-__all__ = ["LinearProgram", "LpSolution", "LpStatus", "LpError"]
+import numpy as np
+
+__all__ = ["LinearProgram", "LpSolution", "LpStatus", "LpError", "UbArrays"]
 
 
 class LpError(RuntimeError):
@@ -33,6 +35,21 @@ class LpStatus:
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
+
+
+class UbArrays(NamedTuple):
+    """A model as NumPy arrays, ``A_ub v <= b_ub`` with box bounds —
+    the shape every HiGHS solve loads (see
+    :mod:`repro.lpsolve.highs_warm`)."""
+
+    n_variables: int
+    c: np.ndarray  #: objective coefficients
+    lo: np.ndarray  #: variable lower bounds
+    hi: np.ndarray  #: variable upper bounds
+    rows: np.ndarray  #: COO row indices of A_ub
+    cols: np.ndarray  #: COO column indices of A_ub
+    vals: np.ndarray  #: COO values of A_ub
+    b_ub: np.ndarray  #: right-hand sides
 
 
 @dataclass(frozen=True)

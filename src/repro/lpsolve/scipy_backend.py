@@ -1,11 +1,20 @@
-"""SciPy/HiGHS backend for the LP modeling layer.
+"""SciPy/HiGHS backend: the one-shot solves behind one HiGHS seam.
 
-Translates a :class:`repro.lpsolve.LinearProgram` into the
-``scipy.optimize.linprog`` calling convention and back.  HiGHS is orders of
-magnitude faster than the built-in dense simplex on the larger benchmark
-sweeps, so :meth:`LinearProgram.solve` prefers it when SciPy is installed;
-the built-in simplex remains the dependency-free fallback and the
-cross-check used by the test suite.
+Pre-assembled ``A_ub v <= b_ub`` arrays (:func:`solve_ub_arrays`, and
+through it the batched tier's :func:`solve_ub_blocks` and the deadline
+binary search) and :class:`repro.lpsolve.LinearProgram` models
+(:func:`solve_with_scipy`) are all loaded into SciPy's vendored HiGHS by
+:func:`repro.lpsolve.highs_warm.load_highs` — the loader the resident
+:class:`~repro.lpsolve.highs_warm.WarmUbModel` uses too — with the
+option set ``scipy.optimize.linprog(method="highs")`` passes, minus its
+per-call input validation and result post-processing.  ``linprog``
+itself is only the fallback for SciPy builds without that binding
+(:func:`~repro.lpsolve.highs_warm.warm_capable` is ``False``).
+
+HiGHS is orders of magnitude faster than the built-in dense simplex on
+the larger benchmark sweeps, so :meth:`LinearProgram.solve` prefers it
+when SciPy is installed; the built-in simplex remains the
+dependency-free fallback and the cross-check used by the test suite.
 """
 
 from __future__ import annotations
@@ -16,16 +25,16 @@ import numpy as np
 
 try:  # pragma: no cover - import guard exercised implicitly
     from scipy.optimize import linprog as _linprog
-    from scipy.sparse import csr_matrix as _csr
+    from scipy.sparse import csc_matrix as _csc
 except ImportError as _exc:  # pragma: no cover
     raise ImportError("scipy is not available") from _exc
 
 from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
-from .model import LinearProgram, LpError, LpSolution, LpStatus
+from .highs_warm import colwise, load_highs, run_highs, warm_capable
+from .model import LinearProgram, LpError, LpSolution, LpStatus, UbArrays
 
 __all__ = [
-    "build_ub_matrix",
     "solve_with_scipy",
     "solve_ub_arrays",
     "solve_ub_blocks",
@@ -38,8 +47,43 @@ _PIVOTS = _METRICS.counter(
 )
 
 
-def _solution_from_linprog(res) -> LpSolution:
-    """Translate a ``scipy.optimize.OptimizeResult`` into an LpSolution."""
+def solve_ub_arrays(arrays, A_ub=None, row_lower=None) -> LpSolution:
+    """Solve a pre-assembled ``row_lower <= A v <= b_ub`` LP with HiGHS.
+
+    ``arrays`` is a :class:`repro.lpsolve.UbArrays`-shaped tuple (COO
+    triplets plus objective and bounds) produced by bulk NumPy
+    assembly — no per-constraint Python conversion happens here.  Pass a
+    prebuilt ``A_ub`` (from :func:`repro.lpsolve.highs_warm.colwise`) to
+    skip even the matrix conversion on repeated solves; ``row_lower``
+    defaults to ``-inf`` on every row.
+    """
+    if A_ub is None:
+        A_ub = colwise(arrays)
+    if warm_capable():
+        return run_highs(load_highs(arrays, row_lower, A_ub), "scipy")
+    return _solve_with_linprog(arrays, A_ub, row_lower)
+
+
+def _solve_with_linprog(arrays, matrix, row_lower) -> LpSolution:
+    """The same solve through ``scipy.optimize.linprog`` (SciPy builds
+    without the vendored HiGHS binding)."""
+    start, index, value = matrix
+    A = _csc(
+        (value, index, start), shape=(len(arrays.b_ub), arrays.n_variables)
+    )
+    b = np.asarray(arrays.b_ub, dtype=float)
+    eq = np.zeros(len(b), dtype=bool) if row_lower is None else (
+        np.asarray(row_lower) == b
+    )
+    res = _linprog(
+        arrays.c,
+        A_ub=A[~eq] if (~eq).any() else None,
+        b_ub=b[~eq] if (~eq).any() else None,
+        A_eq=A[eq] if eq.any() else None,
+        b_eq=b[eq] if eq.any() else None,
+        bounds=np.column_stack([arrays.lo, arrays.hi]),
+        method="highs",
+    )
     if res.status == 2:
         raise LpError(LpStatus.INFEASIBLE)
     if res.status == 3:
@@ -58,40 +102,6 @@ def _solution_from_linprog(res) -> LpSolution:
     )
 
 
-def build_ub_matrix(arrays):
-    """The ``scipy.sparse.csr_matrix`` of a pre-assembled LP's COO
-    triplets (``None`` for a constraint-free model).  Split out so warm
-    re-solvers (the deadline binary search) can build it once and reuse
-    it across probes that only change bounds or right-hand sides."""
-    if not len(arrays.b_ub):
-        return None
-    return _csr(
-        (arrays.vals, (arrays.rows, arrays.cols)),
-        shape=(len(arrays.b_ub), arrays.n_variables),
-    )
-
-
-def solve_ub_arrays(arrays, A_ub=None) -> LpSolution:
-    """Solve a pre-assembled ``A_ub v <= b_ub`` LP with HiGHS.
-
-    ``arrays`` is an :class:`repro.core.lp.AllotmentArrays`-shaped tuple
-    (COO triplets plus objective and bounds) produced by bulk NumPy
-    assembly — no per-constraint Python conversion happens here.  Pass a
-    prebuilt ``A_ub`` (from :func:`build_ub_matrix`) to skip even the
-    sparse-matrix construction on repeated solves.
-    """
-    if A_ub is None:
-        A_ub = build_ub_matrix(arrays)
-    res = _linprog(
-        arrays.c,
-        A_ub=A_ub,
-        b_ub=arrays.b_ub if len(arrays.b_ub) else None,
-        bounds=np.column_stack([arrays.lo, arrays.hi]),
-        method="highs",
-    )
-    return _solution_from_linprog(res)
-
-
 def solve_ub_blocks(blocks) -> List[LpSolution]:
     """Solve a sequence of independent pre-assembled LPs.
 
@@ -106,55 +116,39 @@ def solve_ub_blocks(blocks) -> List[LpSolution]:
 
 
 def solve_with_scipy(lp: LinearProgram) -> LpSolution:
-    """Solve ``lp`` with ``scipy.optimize.linprog(method="highs")``."""
-    n = lp.n_variables
-    c = np.asarray(lp.objective_coefficients, dtype=float)
-    bounds = list(lp.bounds)
+    """Solve a modeling-layer ``lp`` through the HiGHS seam.
 
-    ub_rows: List[int] = []
-    ub_cols: List[int] = []
-    ub_vals: List[float] = []
-    b_ub: List[float] = []
-    eq_rows: List[int] = []
-    eq_cols: List[int] = []
-    eq_vals: List[float] = []
-    b_eq: List[float] = []
-
-    for coeffs, sense, rhs, _name in lp.constraints:
-        if sense == "==":
-            r = len(b_eq)
-            for v, coef in coeffs.items():
-                eq_rows.append(r)
-                eq_cols.append(v)
-                eq_vals.append(coef)
-            b_eq.append(rhs)
-        else:
-            sign = 1.0 if sense == "<=" else -1.0
-            r = len(b_ub)
-            for v, coef in coeffs.items():
-                ub_rows.append(r)
-                ub_cols.append(v)
-                ub_vals.append(sign * coef)
-            b_ub.append(sign * rhs)
-
-    A_ub = (
-        _csr((ub_vals, (ub_rows, ub_cols)), shape=(len(b_ub), n))
-        if b_ub
-        else None
+    ``>=`` rows are negated into ``<=`` rows and ``==`` rows follow all
+    inequality rows, bounded on both sides — the row order
+    ``linprog``'s ``A_ub``/``A_eq`` stacking gives.
+    """
+    ineq = [c for c in lp.constraints if c[1] != "=="]
+    eq = [c for c in lp.constraints if c[1] == "=="]
+    rows: List[int] = []
+    cols: List[int] = []
+    vals: List[float] = []
+    rhs: List[float] = []
+    for r, (coeffs, sense, b, _name) in enumerate(ineq + eq):
+        sign = -1.0 if sense == ">=" else 1.0
+        for v, coef in coeffs.items():
+            rows.append(r)
+            cols.append(v)
+            vals.append(sign * coef)
+        rhs.append(sign * b)
+    bounds = np.asarray(lp.bounds, dtype=float).reshape(-1, 2)
+    arrays = UbArrays(
+        n_variables=lp.n_variables,
+        c=np.asarray(lp.objective_coefficients, dtype=float),
+        lo=bounds[:, 0],
+        hi=bounds[:, 1],
+        rows=np.asarray(rows, dtype=np.intp),
+        cols=np.asarray(cols, dtype=np.intp),
+        vals=np.asarray(vals, dtype=float),
+        b_ub=np.asarray(rhs, dtype=float),
     )
-    A_eq = (
-        _csr((eq_vals, (eq_rows, eq_cols)), shape=(len(b_eq), n))
-        if b_eq
-        else None
-    )
-
-    res = _linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=np.asarray(b_ub) if b_ub else None,
-        A_eq=A_eq,
-        b_eq=np.asarray(b_eq) if b_eq else None,
-        bounds=bounds,
-        method="highs",
-    )
-    return _solution_from_linprog(res)
+    row_lower = None
+    if eq:
+        row_lower = np.concatenate(
+            [np.full(len(ineq), -np.inf), arrays.b_ub[len(ineq):]]
+        )
+    return solve_ub_arrays(arrays, row_lower=row_lower)

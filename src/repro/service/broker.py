@@ -103,6 +103,7 @@ import json
 import os
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Dict, Optional, Set, Tuple, Union
 
@@ -302,6 +303,8 @@ class SolverService:
         self._solve_threads: Optional[ThreadPoolExecutor] = None
         self._aux_threads: Optional[ThreadPoolExecutor] = None
         self._inflight: Dict[CacheKey, "asyncio.Future[_Outcome]"] = {}
+        # SHA-256 of a /solve body -> its cache key (see _repeat_hit).
+        self._solve_bodies: "OrderedDict[bytes, CacheKey]" = OrderedDict()
         self._solve_tasks: Set["asyncio.Task[None]"] = set()
         self._connections: Dict["asyncio.Task[None]", _Connection] = {}
         self._server: Optional[asyncio.AbstractServer] = None
@@ -668,6 +671,12 @@ class SolverService:
         if path in ("/solve", "/evolve", "/replan"):
             if method != "POST":
                 return 405, self._error(f"use POST {path}", "method_not_allowed")
+            digest = None
+            if path == "/solve":
+                digest = hashlib.sha256(body).digest()
+                hit = self._repeat_hit(digest, headers)
+                if hit is not None:
+                    return 200, hit
             try:
                 data = json.loads(body.decode())
             except (UnicodeDecodeError, ValueError):
@@ -688,7 +697,7 @@ class SolverService:
                 self._m_errors.inc()
                 return 400, self._error(str(exc), "bad_request")
             if path == "/solve":
-                return await self._handle_solve(data, deadline)
+                return await self._handle_solve(data, deadline, digest)
             return await self._handle_replan(data, deadline)
         return 404, self._error(
             f"unknown path {path!r}; known: /solve /evolve /replan "
@@ -723,8 +732,34 @@ class SolverService:
     # ------------------------------------------------------------------
     # the solve path: cache → single-flight → batch engine
     # ------------------------------------------------------------------
+    def _repeat_hit(
+        self, digest: bytes, headers: Dict[str, str]
+    ) -> Optional[Dict[str, Any]]:
+        """The reply to a ``/solve`` body seen before, when its result
+        is still in the memory tier — found without decoding the JSON or
+        rebuilding the instance, which is most of a hit's cost.  Equal
+        bytes parse to the same instance and strategies, so the body's
+        SHA-256 stands in for the cache key.  ``None`` (take the full
+        path) for an unknown body, an entry no longer in memory, or a
+        malformed deadline header (the full path answers its 400)."""
+        key = self._solve_bodies.get(digest)
+        if key is None:
+            return None
+        try:
+            self._request_deadline(headers)
+        except ValueError:
+            return None
+        cached = self.cache.peek(key)
+        if cached is None:
+            return None
+        self._solve_bodies.move_to_end(digest)
+        return {**cached, "cached": True, "deduped": False}
+
     async def _handle_solve(
-        self, data: Dict[str, Any], deadline: Optional[Deadline] = None
+        self,
+        data: Dict[str, Any],
+        deadline: Optional[Deadline] = None,
+        digest: Optional[bytes] = None,
     ) -> Tuple[int, Dict[str, Any]]:
         loop = asyncio.get_running_loop()
         inst_data = data.get("instance")
@@ -751,6 +786,10 @@ class SolverService:
         except (UnknownStrategyError, ValueError) as exc:
             self._m_errors.inc()
             return 400, self._error(str(exc), "unknown_strategy")
+        if digest is not None:
+            self._solve_bodies[digest] = (instance_key, algorithm, priority)
+            if len(self._solve_bodies) > self.cache.capacity:
+                self._solve_bodies.popitem(last=False)
         return await self._solve_keyed(
             instance, instance_key, algorithm, priority, deadline
         )

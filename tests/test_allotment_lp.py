@@ -20,10 +20,15 @@ class TestConstruction:
         built = build_allotment_lp(inst)
         n, m = inst.n_tasks, inst.m
         assert built.lp.n_variables == 3 * n + 2
-        # fit + span per task, one segment row per canonical chord,
-        # |E| precedence rows, L<=C and W/m<=C.
+        # |E| precedence rows, a fit row per source, a span row per
+        # sink, one segment row per canonical chord, L<=C and W/m<=C.
         segs = sum(len(inst.task(j).segments()) for j in range(n))
-        assert built.lp.n_constraints == 2 * n + segs + inst.dag.n_edges + 2
+        sources = sum(not inst.dag.predecessors(j) for j in range(n))
+        sinks = sum(not inst.dag.successors(j) for j in range(n))
+        assert (sources, sinks) == (1, 1)
+        assert built.lp.n_constraints == (
+            inst.dag.n_edges + sources + sinks + segs + 2
+        )
 
     def test_variable_bounds_match_profiles(self):
         inst = make_inst(chain_dag(3), 4)

@@ -16,6 +16,7 @@ from repro.core.arrays import instance_arrays
 from repro.core.evolve import InstanceEvolution, apply_operations, evolve
 from repro.core.lp import assemble_allotment_arrays
 from repro.dag import CycleError, Dag
+from repro.models import power_law_profile
 from repro.workloads import make_instance
 
 
@@ -296,20 +297,37 @@ class TestCacheInheritance:
         )
 
     def test_seeded_lp_arrays_bit_identical_to_fresh(self):
-        parent = _inst()
-        assemble_allotment_arrays(parent)
-        instance_arrays(parent)
-        child, _ = (
-            parent.evolve().retime(2, _scaled_times(parent, 2)).commit()
-        )
-        seeded = assemble_allotment_arrays(child)
-        fresh = assemble_allotment_arrays.__wrapped__(child)
-        for field in seeded._fields:
-            a, b = getattr(seeded, field), getattr(fresh, field)
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b), field
-            else:
-                assert a == b, field
+        # One task of each kind the slim LP (9) layout treats apart: a
+        # source (fit row), a sink (span row), an interior task (neither)
+        # and a rigid task (no segment rows).  Retimed alone and all
+        # together, the patched assembly must equal a fresh one.
+        m = 4
+        power = [MalleableTask(power_law_profile(p1, 0.6, m))
+                 for p1 in (10.0, 14.0, 8.0)]
+        rigid = MalleableTask([6.0] * m)
+        dag = Dag(5, [(0, 1), (1, 2), (0, 3), (3, 2), (1, 4)])
+        parent = Instance(power + [rigid, power[0]], dag, m)
+        kinds = {"source": 0, "interior": 1, "sink": 2, "rigid": 3}
+        new_times = {
+            j: ([9.0] * m if j == 3 else _scaled_times(parent, j))
+            for j in kinds.values()
+        }
+        for retimed in [[j] for j in kinds.values()] + [list(kinds.values())]:
+            assemble_allotment_arrays(parent)
+            instance_arrays(parent)
+            evo = parent.evolve()
+            for j in retimed:
+                evo.retime(j, new_times[j])
+            child, _ = evo.commit()
+            seeded = assemble_allotment_arrays.peek(child)
+            assert seeded is not None, retimed
+            fresh = assemble_allotment_arrays.__wrapped__(child)
+            for field in seeded._fields:
+                a, b = getattr(seeded, field), getattr(fresh, field)
+                if isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b), (retimed, field)
+                else:
+                    assert a == b, (retimed, field)
 
     def test_pure_completion_shares_parent_arrays(self):
         parent = _inst()

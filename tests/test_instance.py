@@ -94,7 +94,7 @@ class TestPackageMeta:
     def test_version(self):
         import repro
 
-        assert repro.__version__ == "1.4.0"
+        assert repro.__version__ == "1.5.0"
 
     def test_public_api_importable(self):
         import repro

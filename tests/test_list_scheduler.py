@@ -1,5 +1,6 @@
 """Tests for LIST (Table 1) and the μ cap."""
 
+import numpy as np
 import pytest
 
 from repro import Dag, Instance, assert_feasible
@@ -142,3 +143,39 @@ class TestListScheduleProperties:
         assert [
             (e.task, e.start, e.processors) for e in a.entries
         ] == [(e.task, e.start, e.processors) for e in b.entries]
+
+
+class TestTierDispatch:
+    """The loop/array choice reads the widest level times the mean level
+    width; both tiers produce the same schedule."""
+
+    @staticmethod
+    def _entries(schedule):
+        return [
+            (e.task, e.start, e.processors, e.duration)
+            for e in schedule.entries
+        ]
+
+    def test_wide_level_picks_array_tier(self):
+        from repro.core.list_scheduler import dispatch_tier, list_schedule_loop
+        from repro.workloads import make_instance
+
+        # n / #levels is about 57, but one level holds 256 tasks.
+        inst = make_instance("intree", 1000, 8, model="power", seed=5)
+        widths = np.diff(inst.dag.to_csr().depths().ptr)
+        assert inst.n_tasks / len(widths) < 70 and widths.max() >= 256
+        assert dispatch_tier(inst) == "array"
+        alloc = [1 + j % inst.m for j in range(inst.n_tasks)]
+        assert self._entries(list_schedule(inst, alloc)) == self._entries(
+            list_schedule_loop(inst, alloc)
+        )
+
+    def test_triangular_dag_stays_on_loop_tier(self):
+        from repro.core.list_scheduler import dispatch_tier
+        from repro.workloads import make_instance
+
+        # One wide middle level, but the mean level is narrow.
+        inst = make_instance("lu", 1000, 8, model="power", seed=5)
+        widths = np.diff(inst.dag.to_csr().depths().ptr)
+        assert widths.max() >= 100
+        assert dispatch_tier(inst) == "loop"

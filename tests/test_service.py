@@ -108,6 +108,74 @@ class TestSolveEndpoint:
         assert s["requests"] >= 3
 
 
+class TestRepeatedBodies:
+    """A /solve body seen before is answered from the cache without
+    re-parsing it; anything else takes the full path."""
+
+    def _count_parses(self, monkeypatch):
+        parses = []
+        real = SolverService._parse_instance
+
+        def counting(data):
+            parses.append(1)
+            return real(data)
+
+        monkeypatch.setattr(
+            SolverService, "_parse_instance", staticmethod(counting)
+        )
+        return parses
+
+    def test_repeated_body_is_a_hit_without_reparsing(
+        self, client, monkeypatch
+    ):
+        from repro.core.instance import Instance
+
+        inst = _inst(seed=9)
+        first = client.solve(inst)
+        parses = self._count_parses(monkeypatch)
+        second = client.solve(inst)
+        assert second["cached"] is True and parses == []
+        assert second["schedule"] == first["schedule"]
+        # New bytes for the same content: parsed once, same cache line.
+        relabeled = Instance(inst.tasks, inst.dag, inst.m, name="other")
+        assert client.solve(relabeled)["cached"] is True
+        assert parses == [1]
+        stats = client.stats()["cache"]
+        assert stats["hits"] == 2 and stats["misses"] == 1
+
+    def test_evicted_entry_is_solved_again(self, monkeypatch):
+        a, b = _inst(seed=10), _inst(seed=11)
+        with serve_in_thread(workers=0, cache_capacity=1) as handle:
+            with ServiceClient(port=handle.port) as c:
+                first = c.solve(a)
+                c.solve(b)  # evicts a
+                parses = self._count_parses(monkeypatch)
+                again = c.solve(a)
+                assert len(handle.service._solve_bodies) == 1
+        assert again["cached"] is False and parses == [1]
+        assert again["schedule"] == first["schedule"]
+
+    def test_repeated_body_still_checks_the_deadline_header(self, daemon):
+        import http.client
+
+        from repro.io import instance_to_dict
+
+        body = json.dumps({"instance": instance_to_dict(_inst(seed=12))})
+        statuses = []
+        for headers in ({}, {"X-Deadline-Ms": "soonish"}):
+            conn = http.client.HTTPConnection(
+                daemon.host, daemon.port, timeout=10
+            )
+            try:
+                conn.request("POST", "/solve", body=body, headers=headers)
+                resp = conn.getresponse()
+                resp.read()
+                statuses.append(resp.status)
+            finally:
+                conn.close()
+        assert statuses == [200, 400]
+
+
 class TestErrorHandling:
     def test_unknown_strategy_is_400(self, client):
         with pytest.raises(ServiceError) as exc:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro
 from repro.service import ResultCache
 
 
@@ -91,6 +92,22 @@ class TestDiskSpill:
         for f in spill.glob("*.json"):
             data = json.loads(f.read_text())
             data["version"] = "0.0.0-older"
+            f.write_text(json.dumps(data))
+        assert cache.get(_key(0)) is None
+
+    def test_spill_from_before_the_slim_lp_is_a_miss(self, tmp_path):
+        # 1.5.0 drops LP (9)'s implied fit/span rows; on degenerate
+        # instances HiGHS may then stop at another optimal vertex, so a
+        # 1.4.0 spill can hold a schedule a direct solve no longer
+        # returns.
+        spill = tmp_path / "spill"
+        cache = ResultCache(capacity=1, spill_dir=spill)
+        cache.put(_key(0), _value(0))
+        cache.put(_key(1), _value(1))
+        for f in spill.glob("*.json"):
+            data = json.loads(f.read_text())
+            assert data["version"] == repro.__version__ != "1.4.0"
+            data["version"] = "1.4.0"
             f.write_text(json.dumps(data))
         assert cache.get(_key(0)) is None
 
